@@ -50,8 +50,12 @@ class IVFFlatIndex(VectorIndex):
         self.nlist = nlist
         self.seed = seed
         self._centroids: Optional[np.ndarray] = None
-        self._cell_vectors: List[np.ndarray] = []
-        self._cell_ids: List[np.ndarray] = []
+        # Posting lists in one cell-sorted (CSR) layout: the rows of cell
+        # ``c`` are ``_vectors[_offsets[c]:_offsets[c + 1]]`` (and the
+        # same slice of ``_ids``), in insertion order within the cell.
+        self._vectors = np.empty((0, dim), dtype=np.float32)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._offsets = np.zeros(1, dtype=np.int64)
         self._ntotal = 0
 
     @property
@@ -70,8 +74,10 @@ class IVFFlatIndex(VectorIndex):
             self.nlist = max(1, vectors.shape[0])
         result = kmeans(vectors, self.nlist, seed=self.seed)
         self._centroids = result.centroids
-        self._cell_vectors = [np.empty((0, self.dim), dtype=np.float32) for _ in range(self.nlist)]
-        self._cell_ids = [np.empty(0, dtype=np.int64) for _ in range(self.nlist)]
+        self._vectors = np.empty((0, self.dim), dtype=np.float32)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._offsets = np.zeros(self.nlist + 1, dtype=np.int64)
+        self._ntotal = 0
         self.stats.train_points = int(vectors.shape[0])
 
     def add_with_ids(self, vectors: np.ndarray, ids: np.ndarray) -> None:
@@ -84,15 +90,25 @@ class IVFFlatIndex(VectorIndex):
                 f"{ids.shape[0]} ids for {vectors.shape[0]} vectors"
             )
         cells = assign_to_centroids(vectors, self._centroids)
-        for cell in np.unique(cells):
-            members = cells == cell
-            self._cell_vectors[cell] = np.vstack(
-                [self._cell_vectors[cell], vectors[members]]
-            )
-            self._cell_ids[cell] = np.concatenate(
-                [self._cell_ids[cell], ids[members]]
-            )
+        order = np.argsort(cells, kind="stable")
+        counts = np.bincount(cells, minlength=self.nlist)
+        # Each new row goes in at the end of its cell, so a cell lists its
+        # old rows, then its new ones, each in insertion order.
+        at = np.repeat(self._offsets[1:], counts)
+        self._vectors = np.insert(self._vectors, at, vectors[order], axis=0)
+        self._ids = np.insert(self._ids, at, ids[order])
+        self._offsets = np.concatenate(([0], self._offsets[1:] + np.cumsum(counts)))
         self._ntotal += int(vectors.shape[0])
+
+    def _cell_rows(self, cells: np.ndarray) -> np.ndarray:
+        """Row positions of ``cells``' postings, cell after cell, in order."""
+        starts = self._offsets[cells]
+        lengths = self._offsets[cells + 1] - starts
+        total = int(lengths.sum())
+        # Shift each cell's run so that position ``i`` of the output maps
+        # to ``starts[cell] + (i - first output position of that cell)``.
+        shift = starts - (np.cumsum(lengths) - lengths)
+        return np.repeat(shift, lengths) + np.arange(total, dtype=np.int64)
 
     def _probe_order(self, query: np.ndarray) -> np.ndarray:
         """Cell indices sorted by centroid distance to the query."""
@@ -110,35 +126,25 @@ class IVFFlatIndex(VectorIndex):
     ) -> SearchResult:
         self._require_trained()
         query = self._check_query(query)
+        bitset = self._check_bitset(bitset, self.ntotal)
         if self.ntotal == 0 or k <= 0:
             return SearchResult.empty()
         nprobe = max(1, min(int(nprobe), self.nlist))
         probe = self._probe_order(query)[:nprobe]
 
-        gathered_ids: List[np.ndarray] = []
-        gathered_dist: List[np.ndarray] = []
-        visited = 0
-        for cell in probe:
-            ids = self._cell_ids[cell]
-            if ids.size == 0:
-                continue
-            vectors = self._cell_vectors[cell]
-            if bitset is not None:
-                allowed = bitset[ids]
-                visited += int(ids.size)  # bitmap test touches every posting
-                if not allowed.any():
-                    continue
-                ids = ids[allowed]
-                vectors = vectors[allowed]
-            else:
-                visited += int(ids.size)
-            gathered_ids.append(ids)
-            gathered_dist.append(pairwise_distance(query, vectors, self.metric))
-        if not gathered_ids:
+        # One gather over the probed cells in probe order: the candidate
+        # order, and so top-k tie-breaking, is that of a cell-by-cell scan.
+        rows = self._cell_rows(probe)
+        ids = self._ids[rows]
+        visited = int(rows.size)  # the bitmap test touches every posting
+        if bitset is not None:
+            allowed = bitset[ids]
+            rows = rows[allowed]
+            ids = ids[allowed]
+        if rows.size == 0:
             return SearchResult.empty(visited=visited)
-        all_ids = np.concatenate(gathered_ids)
-        all_dist = np.concatenate(gathered_dist)
-        return top_k_from_distances(all_ids, all_dist, k, visited=visited)
+        distances = pairwise_distance(query, self._vectors[rows], self.metric)
+        return top_k_from_distances(ids, distances, k, visited=visited)
 
     def search_batch(
         self,
@@ -176,12 +182,14 @@ class IVFFlatIndex(VectorIndex):
 
         # cell -> (query rows probing it, filtered ids, distance block).
         blocks: Dict[int, tuple] = {}
+        offsets = self._offsets
         for cell in np.unique(probe):
-            ids = self._cell_ids[cell]
-            if ids.size == 0:
+            lo, hi = offsets[cell], offsets[cell + 1]
+            if lo == hi:
                 blocks[int(cell)] = None
                 continue
-            vectors = self._cell_vectors[cell]
+            ids = self._ids[lo:hi]
+            vectors = self._vectors[lo:hi]
             if bitset is not None:
                 allowed = bitset[ids]
                 if not allowed.any():
@@ -200,10 +208,9 @@ class IVFFlatIndex(VectorIndex):
             gathered_dist: List[np.ndarray] = []
             visited = 0
             for cell in probe[row]:
-                posted = self._cell_ids[cell]
                 # The bitmap test touches every posting, like the
                 # sequential path.
-                visited += int(posted.size)
+                visited += int(offsets[cell + 1] - offsets[cell])
                 block = blocks[int(cell)]
                 if block is None:
                     continue
@@ -220,11 +227,13 @@ class IVFFlatIndex(VectorIndex):
 
     def memory_bytes(self) -> int:
         total = 0 if self._centroids is None else int(self._centroids.nbytes)
-        total += sum(int(v.nbytes) for v in self._cell_vectors)
-        total += sum(int(i.nbytes) for i in self._cell_ids)
-        return total
+        # Centroids and postings only: ``_offsets`` (8 bytes per cell) is
+        # left out so the size equals that of the persisted per-cell lists.
+        # Worker index caches are sized in these bytes.
+        return total + int(self._vectors.nbytes) + int(self._ids.nbytes)
 
     def to_payload(self) -> Dict[str, Any]:
+        cells = list(zip(self._offsets[:-1], self._offsets[1:]))
         return {
             "index_type": self.index_type,
             "dim": self.dim,
@@ -232,8 +241,10 @@ class IVFFlatIndex(VectorIndex):
             "nlist": self.nlist,
             "seed": self.seed,
             "centroids": self._centroids,
-            "cell_vectors": self._cell_vectors,
-            "cell_ids": self._cell_ids,
+            # Persisted per cell, so saved bytes do not depend on the
+            # in-memory layout.
+            "cell_vectors": [self._vectors[lo:hi] for lo, hi in cells],
+            "cell_ids": [self._ids[lo:hi] for lo, hi in cells],
             "ntotal": self._ntotal,
         }
 
@@ -243,7 +254,10 @@ class IVFFlatIndex(VectorIndex):
             payload["dim"], payload["metric"], nlist=payload["nlist"], seed=payload["seed"]
         )
         index._centroids = payload["centroids"]
-        index._cell_vectors = list(payload["cell_vectors"])
-        index._cell_ids = list(payload["cell_ids"])
+        cell_ids = list(payload["cell_ids"])
+        if cell_ids:
+            index._vectors = np.concatenate(payload["cell_vectors"])
+            index._ids = np.concatenate(cell_ids)
+        index._offsets = np.cumsum([0] + [len(ids) for ids in cell_ids], dtype=np.int64)
         index._ntotal = payload["ntotal"]
         return index

@@ -121,6 +121,7 @@ class IVFPQIndex(VectorIndex):
             np.empty((0, self.m), dtype=np.uint8) for _ in range(self.nlist)
         ]
         self._cell_ids = [np.empty(0, dtype=np.int64) for _ in range(self.nlist)]
+        self._ntotal = 0
         with self._lut_lock:
             self._lut_cache.clear()
         self.stats.train_points = int(vectors.shape[0])
@@ -185,6 +186,7 @@ class IVFPQIndex(VectorIndex):
     ) -> SearchResult:
         self._require_trained()
         query = self._check_query(query)
+        bitset = self._check_bitset(bitset, self.ntotal)
         if self.ntotal == 0 or k <= 0:
             return SearchResult.empty()
         assert self._centroids is not None

@@ -8,17 +8,32 @@ every index type, including the delete-bitmap and ``AS OF`` snapshot
 paths, plus adversarial tie/zero-norm inputs via hypothesis.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.database import BlendHouse
 from repro.errors import IndexParameterError
-from repro.vindex.api import kernel_mode, pairwise_distance
+from repro.vindex.api import (
+    SearchResult,
+    kernel_mode,
+    pairwise_distance,
+    top_k_from_distances,
+)
 from repro.vindex.hnsw import HNSWIndex
+from repro.vindex.ivf import IVFFlatIndex
 from repro.vindex.ivfpq import IVFPQIndex
+from repro.vindex.kmeans import assign_to_centroids
 from repro.vindex.pq import ProductQuantizer
-from repro.vindex.registry import IndexSpec, create_index
+from repro.vindex.registry import (
+    IndexSpec,
+    _canonical_payload,
+    create_index,
+    deserialize_index,
+    serialize_index,
+)
 
 from tests.helpers import vector_sql
 
@@ -315,3 +330,204 @@ class TestPlanRebind:
         db.execute(sql)
         db.execute(sql)
         assert db.export_metrics().counter("planner.rebinds") == 0
+
+
+class PerCellIVF:
+    """IVF_FLAT over one list per cell: the reference oracle.
+
+    The plain form the cell-sorted arrays of :class:`IVFFlatIndex` must
+    reproduce: a ``vstack`` per cell on every add, and a per-probed-cell
+    filter, distance call and concatenation on every search.  It shares
+    the index's centroids, so both see the same cells.
+    """
+
+    def __init__(self, index: IVFFlatIndex):
+        self.index = index
+        self.cell_vectors = [
+            np.empty((0, index.dim), dtype=np.float32) for _ in range(index.nlist)
+        ]
+        self.cell_ids = [np.empty(0, dtype=np.int64) for _ in range(index.nlist)]
+        self.ntotal = 0
+
+    def add_with_ids(self, vectors, ids):
+        vectors = np.ascontiguousarray(vectors, dtype=np.float32)
+        ids = np.asarray(ids, dtype=np.int64)
+        cells = assign_to_centroids(vectors, self.index._centroids)
+        for cell in np.unique(cells):
+            members = cells == cell
+            self.cell_vectors[cell] = np.vstack([self.cell_vectors[cell], vectors[members]])
+            self.cell_ids[cell] = np.concatenate([self.cell_ids[cell], ids[members]])
+        self.ntotal += int(vectors.shape[0])
+
+    def search_with_filter(self, query, k, bitset=None, nprobe=8):
+        index = self.index
+        query = np.asarray(query, dtype=np.float32)
+        if self.ntotal == 0 or k <= 0:
+            return SearchResult.empty()
+        nprobe = max(1, min(int(nprobe), index.nlist))
+        probe = index._probe_order(query)[:nprobe]
+        gathered_ids, gathered_dist = [], []
+        visited = 0
+        for cell in probe:
+            ids = self.cell_ids[cell]
+            if ids.size == 0:
+                continue
+            vectors = self.cell_vectors[cell]
+            visited += int(ids.size)
+            if bitset is not None:
+                allowed = bitset[ids]
+                if not allowed.any():
+                    continue
+                ids = ids[allowed]
+                vectors = vectors[allowed]
+            gathered_ids.append(ids)
+            gathered_dist.append(pairwise_distance(query, vectors, index.metric))
+        if not gathered_ids:
+            return SearchResult.empty(visited=visited)
+        return top_k_from_distances(
+            np.concatenate(gathered_ids), np.concatenate(gathered_dist), k, visited=visited
+        )
+
+    def payload_bytes(self):
+        payload = dict(self.index.to_payload())
+        payload["cell_vectors"] = self.cell_vectors
+        payload["cell_ids"] = self.cell_ids
+        payload["ntotal"] = self.ntotal
+        return pickle.dumps(_canonical_payload(payload), protocol=pickle.HIGHEST_PROTOCOL)
+
+    def memory_bytes(self):
+        total = int(self.index._centroids.nbytes)
+        total += sum(int(v.nbytes) for v in self.cell_vectors)
+        return total + sum(int(i.nbytes) for i in self.cell_ids)
+
+
+def _ivf_pair(train, batches, nlist, metric="l2"):
+    """An IVFFlatIndex and its per-cell oracle fed the same batches."""
+    index = IVFFlatIndex(dim=train.shape[1], metric=metric, nlist=nlist, seed=0)
+    index.train(train)
+    oracle = PerCellIVF(index)
+    start = 0
+    for batch in batches:
+        ids = np.arange(start, start + batch.shape[0])
+        index.add_with_ids(batch, ids)
+        oracle.add_with_ids(batch, ids)
+        start += batch.shape[0]
+    return index, oracle
+
+
+def _assert_matches_oracle(index, oracle, queries, bitsets=(None,), nprobes=(1, 8)):
+    for query in queries:
+        for bitset in bitsets:
+            for nprobe in nprobes:
+                got = index.search_with_filter(query, 10, bitset=bitset, nprobe=nprobe)
+                want = oracle.search_with_filter(query, 10, bitset=bitset, nprobe=nprobe)
+                assert_byte_identical(got, want)
+                assert got.visited == want.visited
+    assert serialize_index(index) == oracle.payload_bytes()
+    assert index.memory_bytes() == oracle.memory_bytes()
+
+
+class TestIVFCellSortedLayout:
+    """IVF_FLAT's cell-sorted posting arrays against the per-cell oracle:
+    the same candidates in the same order, so byte-identical ids,
+    distances and ``visited``; the same persisted bytes; the same size."""
+
+    @pytest.fixture
+    def split(self, data):
+        # Three adds: each cell lists old rows before new ones.
+        return [data[:150], data[150:151], data[151:]]
+
+    def test_several_batches(self, data, queries, split):
+        index, oracle = _ivf_pair(data, split, nlist=20)
+        bitset = np.ones(data.shape[0], dtype=bool)
+        bitset[::3] = False
+        _assert_matches_oracle(index, oracle, queries, bitsets=(None, bitset))
+
+    def test_bitset_empties_some_probed_cells(self, data, queries, split):
+        index, oracle = _ivf_pair(data, split, nlist=20)
+        probe = index._probe_order(queries[0])[:8]
+        bitset = np.ones(data.shape[0], dtype=bool)
+        for cell in probe[::2]:
+            bitset[oracle.cell_ids[cell]] = False
+        everything_off = np.zeros(data.shape[0], dtype=bool)
+        _assert_matches_oracle(
+            index, oracle, queries, bitsets=(bitset, everything_off), nprobes=(8,)
+        )
+        assert index.search_with_filter(queries[0], 10, bitset=everything_off).visited > 0
+
+    def test_empty_cells(self, data, queries):
+        # Train on everything, add only rows near two of the centroids.
+        index = IVFFlatIndex(dim=16, nlist=20, seed=0)
+        index.train(data)
+        near = np.isin(assign_to_centroids(data, index._centroids), [0, 1])
+        index, oracle = _ivf_pair(data, [data[near][:5], data[near][5:]], nlist=20)
+        assert sum(ids.size == 0 for ids in oracle.cell_ids) >= 10
+        _assert_matches_oracle(index, oracle, queries, nprobes=(1, 3, 20))
+
+    def test_exact_ties_keep_probe_order(self):
+        # Rows v and -v sit in different cells at exactly the same distance
+        # from the zero query, so the top-k tie-break sees candidate order.
+        rng = np.random.default_rng(11)
+        half = rng.normal(size=(100, 16)).astype(np.float32)
+        rows = np.concatenate([half, -half, half])
+        index, oracle = _ivf_pair(rows, [rows[:150], rows[150:]], nlist=20)
+        zero = np.zeros((1, 16), dtype=np.float32)
+        _assert_matches_oracle(index, oracle, zero, nprobes=(4, 12, 20))
+        want = oracle.search_with_filter(zero[0], 10, nprobe=12)
+        for got in index.search_batch(np.repeat(zero, 2, axis=0), 10, nprobe=12):
+            assert_byte_identical(got, want)
+
+    def test_nprobe_at_least_nlist(self, data, queries, split):
+        index, oracle = _ivf_pair(data, split, nlist=20)
+        _assert_matches_oracle(index, oracle, queries, nprobes=(20, 25))
+
+    def test_tiny_segment_nlist_fallback(self, data, queries):
+        index, oracle = _ivf_pair(data[:5], [data[:3], data[3:5]], nlist=64)
+        assert index.nlist == 5
+        _assert_matches_oracle(index, oracle, queries, nprobes=(1, 2, 64))
+
+    def test_untrained_and_empty_payloads(self, data):
+        untrained = IVFFlatIndex(dim=16, nlist=8)
+        restored = deserialize_index(serialize_index(untrained))
+        assert serialize_index(restored) == serialize_index(untrained)
+        index, oracle = _ivf_pair(data, [], nlist=8)
+        assert serialize_index(index) == oracle.payload_bytes()
+        assert index.memory_bytes() == oracle.memory_bytes()
+
+    def test_payload_round_trip_keeps_layout(self, data, queries, split):
+        index, _ = _ivf_pair(data, split, nlist=20)
+        restored = deserialize_index(serialize_index(index))
+        assert restored._vectors.flags.c_contiguous
+        assert restored._offsets.tobytes() == index._offsets.tobytes()
+        assert serialize_index(restored) == serialize_index(index)
+        for query in queries:
+            assert_byte_identical(
+                restored.search_with_filter(query, 10), index.search_with_filter(query, 10)
+            )
+
+    def test_search_batch_matches_search_with_filter(self, data, queries, split):
+        index, oracle = _ivf_pair(data, split, nlist=20)
+        bitset = np.ones(data.shape[0], dtype=bool)
+        bitset[::3] = False
+        for mask in (None, bitset):
+            for nprobe in (1, 8, 20):
+                batch = index.search_batch(queries, 10, bitset=mask, nprobe=nprobe)
+                for query, got in zip(queries, batch):
+                    want = oracle.search_with_filter(query, 10, bitset=mask, nprobe=nprobe)
+                    assert_byte_identical(got, want)
+                    assert got.visited == want.visited
+                    single = index.search_with_filter(query, 10, bitset=mask, nprobe=nprobe)
+                    assert_byte_identical(got, single)
+
+    @pytest.mark.parametrize("metric", ["ip", "cosine"])
+    def test_inner_product_metrics_agree_to_rounding(self, data, queries, split, metric):
+        # One matrix-vector product over the gathered rows may round the
+        # last ulp differently from one product per cell (BLAS blocking);
+        # the l2 kernel reduces each row on its own and is exact.
+        index, oracle = _ivf_pair(data, split, nlist=20, metric=metric)
+        for query in queries:
+            got = index.search_with_filter(query, 10, nprobe=8)
+            want = oracle.search_with_filter(query, 10, nprobe=8)
+            np.testing.assert_allclose(got.distances, want.distances, rtol=1e-5, atol=1e-5)
+            assert got.visited == want.visited
+        assert serialize_index(index) == oracle.payload_bytes()

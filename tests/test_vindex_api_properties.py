@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import IndexParameterError
 from repro.vindex.api import pairwise_distance, top_k_from_distances
 from repro.vindex.registry import IndexSpec, create_index
 
@@ -48,6 +49,19 @@ class TestInterfaceContract:
         bitset[50:100] = True
         result = built[name].search_with_filter(data[60], 5, bitset=bitset)
         assert set(result.ids.tolist()) <= set(range(50, 100))
+
+    def test_bitset_is_validated(self, built, data, name):
+        bitset = np.zeros(data.shape[0], dtype=bool)
+        bitset[50:100] = True
+        as_bool = built[name].search_with_filter(data[60], 5, bitset=bitset)
+        # A 0/1 uint8 mask selects the same rows; it is not an index array.
+        as_uint8 = built[name].search_with_filter(
+            data[60], 5, bitset=bitset.astype(np.uint8)
+        )
+        assert as_uint8.ids.tobytes() == as_bool.ids.tobytes()
+        assert as_uint8.distances.tobytes() == as_bool.distances.tobytes()
+        with pytest.raises(IndexParameterError):
+            built[name].search_with_filter(data[60], 5, bitset=bitset[:10])
 
     def test_range_search_respects_radius(self, built, data, name):
         result = built[name].search_with_range(data[0], 3.0)

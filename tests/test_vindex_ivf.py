@@ -46,6 +46,18 @@ class TestTraining:
         with pytest.raises(IndexParameterError):
             IVFFlatIndex(dim=8, nlist=0)
 
+    def test_retrain_resets_ntotal(self, index, data):
+        index.train(data)
+        assert index.ntotal == 0
+        assert len(index.search_with_filter(data[0], 5)) == 0
+        index.add_with_ids(data[:10], np.arange(10))
+        assert index.ntotal == 10
+        # The bitset has to cover the rows indexed now, not before.
+        result = index.search_with_filter(
+            data[0], 5, nprobe=index.nlist, bitset=np.ones(10, dtype=bool)
+        )
+        assert set(result.ids.tolist()) <= set(range(10))
+
 
 class TestSearch:
     def test_full_probe_is_exact(self, index, data):

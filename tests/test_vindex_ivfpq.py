@@ -44,6 +44,19 @@ class TestBuild:
         idx = build(IVFPQIndex, data)
         assert idx.ntotal == data.shape[0]
 
+    def test_retrain_resets_ntotal(self, data):
+        idx = build(IVFPQIndex, data, refine=False)
+        idx.train(data)
+        assert idx.ntotal == 0
+        assert len(idx.search_with_filter(data[0], 5)) == 0
+        idx.add_with_ids(data[:10], np.arange(10))
+        assert idx.ntotal == 10
+        # The bitset has to cover the rows indexed now, not before.
+        result = idx.search_with_filter(
+            data[0], 5, nprobe=idx.nlist, bitset=np.ones(10, dtype=bool)
+        )
+        assert set(result.ids.tolist()) <= set(range(10))
+
 
 class TestSearchQuality:
     def test_refined_recall_high(self, data):
