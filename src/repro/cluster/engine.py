@@ -15,12 +15,11 @@ from typing import Any, Dict, List, Optional
 
 from repro.cluster.warehouse import VirtualWarehouse, WarehouseConfig
 from repro.core.database import BlendHouse, EngineSettings
-from repro.executor.pipeline import QueryResult
+from repro.core.select import WarehouseScans, runs_select
 from repro.ingest.writer import IngestConfig
-from repro.planner.cost import CostModelParams
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
-from repro.sqlparser.ast_nodes import Insert, Select
+from repro.sqlparser.ast_nodes import Insert
 from repro.sqlparser.parser import parse_statement
 
 
@@ -143,55 +142,17 @@ class ClusteredBlendHouse:
     # SQL
     # ------------------------------------------------------------------
     def execute(self, sql: str) -> Any:
-        """Execute SQL: SELECTs run on the read warehouse, everything
-        else goes through the write-side engine."""
+        """Execute SQL: SELECTs (and EXPLAIN ANALYZE) run on the read
+        warehouse, everything else goes through the write-side engine."""
         statement = parse_statement(sql)
-        if not isinstance(statement, Select):
+        if not runs_select(statement):
             result = self.db.execute(sql)
             if isinstance(statement, Insert):
                 self._wire_retire_hook(statement.table)
             return result
-        return self._execute_select(sql, statement)
-
-    def _execute_select(self, sql: str, statement: Select) -> QueryResult:
-        db = self.db
-        with db.tracer.span("query", statement="Select", engine="cluster"):
-            return self._execute_select_traced(sql, statement)
-
-    def _execute_select_traced(self, sql: str, statement: Select) -> QueryResult:
-        db = self.db
-        runtime = db.table(statement.table)
-        # Pin one manifest for the distributed query: pruning, bitmaps,
-        # index-key resolution on every worker, and the widening retry
-        # all read the same version, even while the write side commits.
-        with runtime.manager.snapshot(statement.as_of) as snap:
-            plan = db._plan_select(sql, statement, version=snap.manifest_id)
-            scheduled, reserve = db._select_segments(runtime, plan, view=snap)
-            bitmaps = {
-                segment.segment_id: snap.bitmap(segment.segment_id)
-                for segment in scheduled + reserve
-            }
-            schema = runtime.entry.schema
-            params = CostModelParams.from_device_model(
-                db.cost, max(schema.vector_dim, 1)
+        with self.db.tracer.span(
+            "query", statement=type(statement).__name__, engine="cluster"
+        ) as root:
+            return self.db._execute_query(
+                sql, statement, root, WarehouseScans(self.read_vw)
             )
-            start = db.clock.now
-            result = self.read_vw.execute_query(
-                plan, scheduled, bitmaps, snap.index_key, db.reader, params,
-                manifest_id=snap.manifest_id,
-            )
-            wanted = plan.logical.k or 0
-            if (
-                reserve
-                and db.settings.adaptive_widening
-                and plan.logical.is_vector_query
-                and len(result) < max(wanted - plan.logical.offset, 0)
-            ):
-                db.metrics.incr("pruning.adaptive_widenings")
-                result = self.read_vw.execute_query(
-                    plan, scheduled + reserve, bitmaps,
-                    snap.index_key, db.reader, params,
-                    manifest_id=snap.manifest_id,
-                )
-            result.simulated_seconds = db.clock.elapsed_since(start)
-        return result

@@ -218,6 +218,8 @@ class VirtualWarehouse:
     ) -> QueryResult:
         """Run one planned query across the warehouse.
 
+        The scans (with their retry, see :meth:`capture_scans`) advance
+        the clock by the warehouse makespan, then the partials merge.
         ``manifest_id`` is the manifest the caller's snapshot pinned; it
         rides along so scheduling and worker spans attribute work to the
         exact version scanned.  ``cancel`` is checked before each segment
@@ -230,24 +232,17 @@ class VirtualWarehouse:
         QueryCancelledError
             If ``cancel`` is set while segments remain to scan.
         """
-        if not self.workers:
-            raise NoWorkersError(f"warehouse {self.name!r} has no workers")
-        attempts = 0
-        while True:
-            try:
-                return self._execute_once(
-                    plan, segments, bitmaps, index_key_of, reader, params,
-                    manifest_id, cancel,
-                )
-            except WorkerUnavailableError:
-                # Query-level retry on the refreshed topology (§II-E).
-                # Memoized remote-cache handshakes may be stale; refresh.
-                for worker in self.workers.values():
-                    worker.forget_remote_holdings()
-                attempts += 1
-                self.metrics.incr("warehouse.query_retries")
-                if attempts > self.config.max_query_retries:
-                    raise
+        start = self.clock.now
+        partials, _, effective = self.capture_scans(
+            plan, segments, bitmaps, index_key_of, reader, params,
+            manifest_id=manifest_id, cancel=cancel,
+        )
+        self.metrics.record_latency("warehouse.makespan", effective)
+        self.clock.advance(effective)
+        result = self.merge_partials(plan, partials, reader, params, len(segments))
+        result.simulated_seconds = self.clock.elapsed_since(start)
+        self.metrics.incr("warehouse.queries")
+        return result
 
     def capture_scans(
         self,
@@ -266,10 +261,41 @@ class VirtualWarehouse:
         ``segment_costs`` is ``[(segment_id, cost_s), ...]`` in scan
         order and the makespan already includes interference.  The clock
         is NOT advanced — :meth:`execute_query` applies the makespan
-        directly, while the staged fleet path hands it to the serving
-        loop as a stage's ``advance_s`` (virtual time applied by the
-        frontend, exactly like ``BlendHouse.select_stages``).
+        directly, while the staged path hands it to the serving loop as
+        a stage's ``advance_s``.
+
+        A scan that finds a worker gone (``WorkerUnavailableError``)
+        retries the whole scan wave on the refreshed topology (§II-E),
+        up to ``max_query_retries`` times; the failed attempt's captured
+        costs are dropped.
         """
+        attempts = 0
+        while True:
+            try:
+                return self._capture_once(
+                    plan, segments, bitmaps, index_key_of, reader, params,
+                    manifest_id, cancel,
+                )
+            except WorkerUnavailableError:
+                # Memoized remote-cache handshakes may be stale; refresh.
+                for worker in self.workers.values():
+                    worker.forget_remote_holdings()
+                attempts += 1
+                self.metrics.incr("warehouse.query_retries")
+                if attempts > self.config.max_query_retries:
+                    raise
+
+    def _capture_once(
+        self,
+        plan: PhysicalPlan,
+        segments: List[Segment],
+        bitmaps: Dict[str, DeleteBitmap],
+        index_key_of: IndexKeyLookup,
+        reader: ColumnReader,
+        params: CostModelParams,
+        manifest_id: Optional[int],
+        cancel: Optional[CancelToken],
+    ):
         if not self.workers:
             raise NoWorkersError(f"warehouse {self.name!r} has no workers")
         by_id = {segment.segment_id: segment for segment in segments}
@@ -335,30 +361,6 @@ class VirtualWarehouse:
         makespan = max(worker_costs) if worker_costs else 0.0
         effective = makespan * self._interference_factor()
         return partials, scan_costs, effective
-
-    def _execute_once(
-        self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
-        bitmaps: Dict[str, DeleteBitmap],
-        index_key_of: IndexKeyLookup,
-        reader: ColumnReader,
-        params: CostModelParams,
-        manifest_id: Optional[int] = None,
-        cancel: Optional[CancelToken] = None,
-    ) -> QueryResult:
-        start = self.clock.now
-        partials, _, effective = self.capture_scans(
-            plan, segments, bitmaps, index_key_of, reader, params,
-            manifest_id=manifest_id, cancel=cancel,
-        )
-        self.metrics.record_latency("warehouse.makespan", effective)
-        self.clock.advance(effective)
-
-        result = self.merge_partials(plan, partials, reader, params, len(segments))
-        result.simulated_seconds = self.clock.elapsed_since(start)
-        self.metrics.incr("warehouse.queries")
-        return result
 
     def merge_partials(
         self,

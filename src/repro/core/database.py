@@ -28,12 +28,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.catalog.catalog import Catalog, TableEntry
 from repro.catalog.schema import TableSchema
+from repro.core.select import (
+    LocalScans,
+    SelectStage,
+    needs_widening,
+    parse_select,
+    run_select,
+    scan_locally,
+    staged_select,
+)
 from repro.core.table import TableRuntime
 from repro.durability.manager import DurabilityConfig, DurabilityManager
 from repro.durability.recovery import RecoveryReport, run_recovery
@@ -44,21 +53,12 @@ from repro.executor.parallel import (
     BatchExecutionResult,
     ParallelConfig,
     execute_batch_on_segments,
-    execute_plan_on_segments_parallel,
-    lane_makespan,
 )
-from repro.executor.pipeline import (
-    ExecContext,
-    QueryResult,
-    execute_plan_on_segments,
-    execute_segment,
-    merge_and_project,
-)
+from repro.executor.pipeline import ExecContext, QueryResult
 from repro.ingest.update import apply_delete, apply_update
 from repro.ingest.writer import IngestConfig, IngestReport
 from repro.observe.events import EventLog
 from repro.observe.export import MetricsExporter
-from repro.observe.profile import maybe_profile
 from repro.observe.slowlog import SlowQueryLog
 from repro.observe.trace import Span, Tracer
 from repro.partition.pruning import prune_segments_scalar, select_semantic_candidates
@@ -225,29 +225,6 @@ class ExplainResult:
         }
 
 
-@dataclass
-class SelectStage:
-    """One checkpoint of a staged SELECT (see :meth:`BlendHouse.select_stages`).
-
-    ``cost_s`` is the simulated compute this stage charged (captured, not
-    yet applied to the clock); ``advance_s`` is how much simulated time
-    the *query* should occupy for this stage — per-segment stages carry
-    their cost with ``advance_s == 0`` and a later ``scan`` stage carries
-    the fan-out makespan, so a serving tier can model parallel lanes
-    while still getting a cancellation checkpoint per segment.
-    """
-
-    name: str
-    cost_s: float = 0.0
-    advance_s: float = 0.0
-    manifest_id: Optional[int] = None
-    result: Optional[QueryResult] = None
-    # Flight-record payload (plan, cache deltas, manifest_id, synthetic
-    # trace) attached to the final stage; the serving tier hands it to
-    # the slow-query log when the query turns out to warrant a record.
-    flight: Optional[Dict[str, Any]] = None
-
-
 def _strip_explain_prefix(sql: str) -> str:
     """The SELECT text under an EXPLAIN [ANALYZE] prefix.
 
@@ -350,16 +327,14 @@ class BlendHouse:
             return self._dispatch(sql, statement, root)
 
     def _dispatch(self, sql: str, statement: Any, root: Span) -> Any:
-        if isinstance(statement, Explain):
-            return self._execute_explain(sql, statement, root)
+        if isinstance(statement, (Select, Explain)):
+            return self._execute_query(sql, statement, root)
         if isinstance(statement, CreateTable):
             return self._execute_create(statement)
         if isinstance(statement, DropTable):
             return self._execute_drop(statement)
         if isinstance(statement, Insert):
             return self._execute_insert(statement)
-        if isinstance(statement, Select):
-            return self._execute_select(sql, statement)
         if isinstance(statement, Update):
             runtime = self.table(statement.table)
             result = apply_update(
@@ -672,9 +647,15 @@ class BlendHouse:
     def _exec_context(
         self,
         runtime: TableRuntime,
-        snapshot: Optional[Any] = None,
+        snapshot: Any,
         cancel: Optional[CancelToken] = None,
+        scan_pool: Optional[Any] = None,
     ) -> ExecContext:
+        """Per-query execution context over the pinned ``snapshot``.
+
+        ``SET read_opt = 0`` swaps in a full-block reader; every scan
+        backend reads through the reader built here.
+        """
         schema = runtime.entry.schema
         params = CostModelParams.from_device_model(self.cost, max(schema.vector_dim, 1))
         reader = self.reader
@@ -683,24 +664,22 @@ class BlendHouse:
                 self.clock, self.cost, self.metrics,
                 ReadOptConfig(reduced_granularity=False, use_block_cache=False),
             )
-        if snapshot is None:
-            resolve = runtime.resolve_index
-            manifest_id = None
-        else:
-            resolve = runtime.snapshot_resolver(snapshot)
-            manifest_id = snapshot.manifest_id
         return ExecContext(
             clock=self.clock,
             cost=self.cost,
             params=params,
             reader=reader,
-            resolve_index=resolve,
+            resolve_index=runtime.snapshot_resolver(snapshot),
             metrics=self.metrics,
             tracer=self.tracer,
-            manifest_id=manifest_id,
+            manifest_id=snapshot.manifest_id,
             cancel=cancel,
-            scan_pool=self._scan_pool_or_none(),
+            scan_pool=scan_pool,
         )
+
+    def _local_scans(self) -> LocalScans:
+        """The in-process scan backend for the current settings."""
+        return LocalScans(self.settings.parallel_workers, self._scan_pool_or_none())
 
     def _scan_pool_or_none(self) -> Optional[Any]:
         """The process scan pool when ``executor_mode='process'``.
@@ -720,18 +699,13 @@ class BlendHouse:
         return shared_pool(workers=workers, metrics=self.metrics)
 
     def _select_segments(
-        self, runtime: TableRuntime, plan: PhysicalPlan,
-        view: Optional[Any] = None,
+        self, runtime: TableRuntime, plan: PhysicalPlan, view: Any
     ) -> List[List[Segment]]:
-        """Scheduling-phase pruning: returns [scheduled, reserve] waves.
-
-        ``view`` is the pinned snapshot the query reads; falling back to
-        the live manager view is only for internal single-version paths.
-        """
+        """Scheduling-phase pruning over the pinned snapshot ``view``:
+        returns [scheduled, reserve] waves."""
         with self.tracer.span("prune") as span:
-            manager = view if view is not None else runtime.manager
-            total = len(manager)
-            metas = manager.metas()
+            total = len(view)
+            metas = view.metas()
             metas = prune_segments_scalar(metas, plan.logical.scalar_predicate)
             self.metrics.incr("pruning.scalar_kept", len(metas))
             span.set_tag("segments_total", total)
@@ -743,7 +717,7 @@ class BlendHouse:
                 and plan.logical.is_vector_query
             )
             if not use_semantic:
-                return [[manager.segment(meta.segment_id) for meta in metas], []]
+                return [[view.segment(meta.segment_id) for meta in metas], []]
             keep = max(1, self.settings.semantic_prune_keep)
             scheduled, reserve = select_semantic_candidates(
                 metas, plan.logical.distance.query_vector, keep
@@ -752,282 +726,21 @@ class BlendHouse:
             span.set_tag("semantic_kept", len(scheduled))
             span.set_tag("reserve", len(reserve))
             return [
-                [manager.segment(meta.segment_id) for meta in scheduled],
-                [manager.segment(meta.segment_id) for meta in reserve],
+                [view.segment(meta.segment_id) for meta in scheduled],
+                [view.segment(meta.segment_id) for meta in reserve],
             ]
 
-    def _parallel_config(self) -> ParallelConfig:
-        return ParallelConfig(max_workers=max(1, self.settings.parallel_workers))
-
-    def _execute_segments(
-        self,
-        plan: PhysicalPlan,
-        segments: List[Segment],
-        bitmaps: Dict[str, Any],
-        ctx: ExecContext,
-    ) -> QueryResult:
-        """Serial or fan-out execution, per the ``parallel_workers`` setting."""
-        if self.settings.parallel_workers > 1:
-            return execute_plan_on_segments_parallel(
-                plan, segments, bitmaps, ctx, self._parallel_config()
-            )
-        return execute_plan_on_segments(plan, segments, bitmaps, ctx)
-
-    def _execute_select(self, sql: str, statement: Select) -> QueryResult:
-        result, _ = self._run_select(sql, statement)
-        return result
-
-    # ------------------------------------------------------------------
-    # Flight recorder capture
-    # ------------------------------------------------------------------
-    def _cache_counters(self) -> Dict[str, int]:
-        """Cache-tier counters the flight record diffs around a query."""
-        return {
-            "memory_hits": self.metrics.count("index_cache.memory_hits"),
-            "disk_hits": self.metrics.count("index_cache.disk_hits"),
-            "remote_fetches": self.metrics.count("index_cache.remote_fetches"),
-        }
-
-    @staticmethod
-    def _cache_delta(before: Dict[str, int], after: Dict[str, int]) -> Dict[str, int]:
-        return {key: after[key] - before[key] for key in after}
-
-    @staticmethod
-    def _plan_payload(plan: PhysicalPlan) -> Dict[str, Any]:
-        """The chosen plan plus the CBO alternatives it rejected."""
-        return {
-            "strategy": plan.strategy.value,
-            "use_index": plan.use_index,
-            "search_params": dict(plan.search_params),
-            "cbo_used": plan.cbo_used,
-            "short_circuited": plan.short_circuited,
-            "sigma": plan.sigma,
-            "estimated_selectivity": plan.estimated_selectivity,
-            "alternatives": dict(plan.estimated_costs),
-        }
-
-    def _maybe_record_flight(
-        self,
-        sql: str,
-        plan: PhysicalPlan,
-        latency_s: float,
-        manifest_id: Optional[int],
-        cache_before: Dict[str, int],
-    ) -> None:
-        """Offer one synchronous query to the slow-query log.
-
-        The cheap threshold/sampling decision runs first so the hot path
-        pays nothing for fast, unsampled queries; the trace is the still-
-        open query root, held by reference and serialized at export time.
-        """
-        reason = self.slowlog.should_record(latency_s)
-        if reason is None:
-            return
-        self.slowlog.observe(
-            timestamp=self.clock.now,
-            sql=sql,
-            latency_s=latency_s,
-            reason=reason,
-            manifest_id=manifest_id,
-            plan=self._plan_payload(plan),
-            cache=self._cache_delta(cache_before, self._cache_counters()),
-            trace=self.tracer.last_root() if self.tracer.enabled else None,
-        )
-
-    def _run_select(
-        self, sql: str, statement: Select
-    ) -> Tuple[QueryResult, PhysicalPlan]:
-        runtime = self.table(statement.table)
-        cache_before = self._cache_counters()
-        # Pin one manifest for the query's whole lifetime: planning,
-        # pruning, bitmap capture, and execution all read this version,
-        # so concurrent ingest/compaction commits are invisible and
-        # ``AS OF <manifest_id>`` replays history exactly.
-        with runtime.manager.snapshot(statement.as_of) as snap:
-            with maybe_profile("select.plan", self.clock):
-                plan = self._plan_select(sql, statement, version=snap.manifest_id)
-            ctx = self._exec_context(runtime, snapshot=snap)
-            scheduled, reserve = self._select_segments(runtime, plan, view=snap)
-            bitmaps = {
-                segment.segment_id: snap.bitmap(segment.segment_id)
-                for segment in scheduled + reserve
-            }
-            start = self.clock.now
-            with maybe_profile("select.execute", self.clock), \
-                    self.tracer.span("execute", segments=len(scheduled)) as span:
-                span.set_tag("manifest_id", snap.manifest_id)
-                result = self._execute_segments(plan, scheduled, bitmaps, ctx)
-                wanted = plan.logical.k or 0
-                if (
-                    reserve
-                    and self.settings.adaptive_widening
-                    and plan.logical.is_vector_query
-                    and len(result) < max(wanted - plan.logical.offset, 0)
-                ):
-                    # Runtime-adaptive widening: the centroid ranking under-
-                    # estimated; schedule everything and redo the merge.
-                    self.metrics.incr("pruning.adaptive_widenings")
-                    span.set_tag("adaptive_widened", True)
-                    result = self._execute_segments(
-                        plan, scheduled + reserve, bitmaps, ctx
-                    )
-                span.set_tag("rows", len(result))
-            result.simulated_seconds = self.clock.elapsed_since(start)
-            manifest_id = snap.manifest_id
-        self.metrics.incr("queries")
-        self.metrics.record_latency("query.latency", result.simulated_seconds)
-        self._maybe_record_flight(
-            sql, plan, result.simulated_seconds, manifest_id, cache_before
-        )
-        return result, plan
-
-    # ------------------------------------------------------------------
-    # Staged SELECT (serving tier)
-    # ------------------------------------------------------------------
     def select_stages(
         self, sql: str, cancel: Optional[CancelToken] = None
     ) -> Iterator[SelectStage]:
         """Run one SELECT as a generator of resumable stages.
 
-        The serving tier drives this instead of :meth:`execute`: each
-        ``yield`` is a cancellation checkpoint, per-stage simulated costs
-        are *captured* rather than applied to the shared clock (so the
-        caller can turn them into waiting on its own timeline, modelling
-        many queries in flight at once), and the snapshot pin is released
-        in a ``finally`` — closing the generator at any stage (client
-        timeout, disconnect, admission preemption) can never leak a
-        pinned manifest.
-
-        Every capture opens and closes *between* yields: cost capture and
-        tracer span stacks are thread-local, so holding one across a
-        yield would corrupt them when a cooperative scheduler interleaves
-        another query's stages on the same thread.
-
-        Stages, in order: ``pin`` → ``plan`` → one ``segment:<id>`` per
-        scheduled segment (cost only, zero advance — these are the
-        cancellation checkpoints) → ``scan`` (advance = fan-out makespan
-        over ``parallel_workers`` lanes) → optionally more ``segment:*``
-        plus a ``widen`` stage when adaptive widening triggers →
-        ``finish`` carrying the merge cost and the :class:`QueryResult`.
+        The serving tier drives this instead of :meth:`execute`; see
+        :func:`repro.core.select.staged_select` for the stage protocol.
         """
-        statement = parse_statement(sql)
-        if not isinstance(statement, Select):
-            raise SQLError("staged serving execution supports SELECT only")
-        runtime = self.table(statement.table)
-        cache_before = self._cache_counters()
-        # Spans cannot be held across yields (thread-local stacks), so
-        # the staged path records a synthetic trace: one child dict per
-        # stage, mirroring Span.to_dict for the flight record.
-        stage_spans: List[Dict[str, Any]] = []
-
-        def _stage_span(name: str, cost_s: float) -> None:
-            stage_spans.append(
-                {"name": name, "duration": cost_s, "tags": {}, "children": []}
-            )
-
-        snap = runtime.manager.snapshot(statement.as_of)
-        try:
-            yield SelectStage("pin", manifest_id=snap.manifest_id)
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with self.clock.capturing() as captured:
-                plan = self._plan_select(sql, statement, version=snap.manifest_id)
-                ctx = self._exec_context(runtime, snapshot=snap, cancel=cancel)
-                scheduled, reserve = self._select_segments(runtime, plan, view=snap)
-                bitmaps = {
-                    segment.segment_id: snap.bitmap(segment.segment_id)
-                    for segment in scheduled + reserve
-                }
-            elapsed = captured.total
-            _stage_span("plan", captured.total)
-            yield SelectStage(
-                "plan", cost_s=captured.total, advance_s=captured.total,
-                manifest_id=snap.manifest_id,
-            )
-            lanes = max(1, self.settings.parallel_workers)
-            partials: List[Any] = []
-            costs: List[float] = []
-            for segment in scheduled:
-                if cancel is not None:
-                    cancel.raise_if_cancelled()
-                with self.clock.capturing() as captured:
-                    partials.append(
-                        execute_segment(
-                            plan, segment, bitmaps.get(segment.segment_id), ctx
-                        )
-                    )
-                costs.append(captured.total)
-                _stage_span(f"segment:{segment.segment_id}", captured.total)
-                yield SelectStage(
-                    f"segment:{segment.segment_id}", cost_s=captured.total
-                )
-            makespan = lane_makespan(costs, lanes)
-            elapsed += makespan
-            _stage_span("scan", makespan)
-            yield SelectStage("scan", cost_s=sum(costs), advance_s=makespan)
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with self.clock.capturing() as captured:
-                result = merge_and_project(plan, partials, ctx, len(scheduled))
-            finish_cost = captured.total
-            wanted = plan.logical.k or 0
-            if (
-                reserve
-                and self.settings.adaptive_widening
-                and plan.logical.is_vector_query
-                and len(result) < max(wanted - plan.logical.offset, 0)
-            ):
-                # Runtime-adaptive widening: the centroid ranking under-
-                # estimated; scan the reserve wave and redo the merge.
-                self.metrics.incr("pruning.adaptive_widenings")
-                widen_costs: List[float] = []
-                for segment in reserve:
-                    if cancel is not None:
-                        cancel.raise_if_cancelled()
-                    with self.clock.capturing() as captured:
-                        partials.append(
-                            execute_segment(
-                                plan, segment, bitmaps.get(segment.segment_id), ctx
-                            )
-                        )
-                    widen_costs.append(captured.total)
-                    _stage_span(f"segment:{segment.segment_id}", captured.total)
-                    yield SelectStage(
-                        f"segment:{segment.segment_id}", cost_s=captured.total
-                    )
-                widen_makespan = lane_makespan(widen_costs, lanes)
-                elapsed += widen_makespan
-                _stage_span("widen", widen_makespan)
-                yield SelectStage(
-                    "widen", cost_s=sum(widen_costs), advance_s=widen_makespan
-                )
-                with self.clock.capturing() as captured:
-                    result = merge_and_project(
-                        plan, partials, ctx, len(scheduled) + len(reserve)
-                    )
-                finish_cost += captured.total
-            elapsed += finish_cost
-            result.simulated_seconds = elapsed
-            self.metrics.incr("queries")
-            self.metrics.record_latency("query.latency", elapsed)
-            _stage_span("finish", finish_cost)
-            flight = {
-                "manifest_id": snap.manifest_id,
-                "plan": self._plan_payload(plan),
-                "cache": self._cache_delta(cache_before, self._cache_counters()),
-                "trace": {
-                    "name": "select_stages",
-                    "duration": elapsed,
-                    "tags": {"manifest_id": snap.manifest_id},
-                    "children": stage_spans,
-                },
-            }
-            yield SelectStage(
-                "finish", cost_s=finish_cost, advance_s=finish_cost,
-                manifest_id=snap.manifest_id, result=result, flight=flight,
-            )
-        finally:
-            snap.release()
+        yield from staged_select(
+            self, sql, parse_select(sql), self._local_scans(), cancel
+        )
 
     # ------------------------------------------------------------------
     # Batched (nq > 1) queries
@@ -1158,7 +871,10 @@ class BlendHouse:
                 ),
             )
             plans.append(template.rebound(logical))
-        ctx = self._exec_context(runtime, snapshot=snapshot)
+        ctx = self._exec_context(
+            runtime, snapshot, scan_pool=self._scan_pool_or_none()
+        )
+        workers = max(1, self.settings.parallel_workers)
         segments_by_query: List[List[Segment]] = []
         reserve_by_query: List[List[Segment]] = []
         for plan in plans:
@@ -1179,21 +895,19 @@ class BlendHouse:
         with self.tracer.span("execute_batch", queries=len(plans),
                               manifest_id=snapshot.manifest_id):
             batch = execute_batch_on_segments(
-                plans, segments_by_query, bitmaps, ctx, self._parallel_config()
+                plans, segments_by_query, bitmaps, ctx,
+                ParallelConfig(max_workers=workers),
             )
-            wanted = template.logical.k or 0
-            if self.settings.adaptive_widening and wanted:
-                for position, result in enumerate(batch.results):
-                    if reserve_by_query[position] and len(result) < wanted:
-                        # Per-query adaptive widening: redo just the
-                        # under-filled query over every candidate segment.
-                        self.metrics.incr("pruning.adaptive_widenings")
-                        batch.results[position] = self._execute_segments(
-                            plans[position],
-                            segments_by_query[position] + reserve_by_query[position],
-                            bitmaps,
-                            ctx,
-                        )
+            for position, result in enumerate(batch.results):
+                reserve = reserve_by_query[position]
+                if needs_widening(self.settings, plans[position], reserve, result):
+                    # Per-query adaptive widening: redo just the
+                    # under-filled query over every candidate segment.
+                    self.metrics.incr("pruning.adaptive_widenings")
+                    batch.results[position] = scan_locally(
+                        plans[position], segments_by_query[position] + reserve,
+                        bitmaps, ctx, workers,
+                    )
         batch.simulated_seconds = self.clock.elapsed_since(start)
         nq = len(plans)
         for result in batch.results:
@@ -1203,15 +917,24 @@ class BlendHouse:
         return batch
 
     # ------------------------------------------------------------------
-    # EXPLAIN
+    # SELECT / EXPLAIN through a scan backend
     # ------------------------------------------------------------------
-    def _execute_explain(
-        self, sql: str, statement: Explain, root: Span
-    ) -> ExplainResult:
+    def _execute_query(
+        self, sql: str, statement: Any, root: Span, backend: Optional[Any] = None
+    ) -> Any:
+        """A SELECT or EXPLAIN [ANALYZE] under the open ``root`` span.
+
+        Scans run on ``backend`` — a read warehouse for the clustered
+        and fleet engines, in-process (the default) otherwise.
+        """
+        if isinstance(statement, Select):
+            return run_select(self, sql, statement, backend or self._local_scans())[0]
         inner_sql = _strip_explain_prefix(sql)
         root.set_tag("explain", "analyze" if statement.analyze else "plan")
         if statement.analyze:
-            result, plan = self._run_select(inner_sql, statement.statement)
+            result, plan = run_select(
+                self, inner_sql, statement.statement, backend or self._local_scans()
+            )
             return ExplainResult(
                 sql=inner_sql, analyze=True, plan=plan, trace=root, result=result
             )

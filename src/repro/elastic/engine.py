@@ -16,19 +16,23 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.core.database import BlendHouse, EngineSettings, SelectStage
+from repro.core.database import BlendHouse, EngineSettings
+from repro.core.select import (
+    SelectStage,
+    WarehouseScans,
+    parse_select,
+    runs_select,
+    staged_select,
+)
 from repro.elastic.autoscaler import AutoscalerPolicy, FleetAutoscaler
 from repro.elastic.fleet import FleetConfig, WarehouseFleet
 from repro.elastic.preloader import BackgroundPreloader
-from repro.errors import SQLError
 from repro.executor.cancel import CancelToken
-from repro.executor.pipeline import QueryResult
 from repro.ingest.writer import IngestConfig
 from repro.observe.slo import SLOMonitor
-from repro.planner.cost import CostModelParams
 from repro.simulate.clock import SimulatedClock
 from repro.simulate.costmodel import DeviceCostModel
-from repro.sqlparser.ast_nodes import Insert, Select
+from repro.sqlparser.ast_nodes import Insert
 from repro.sqlparser.parser import parse_statement
 
 
@@ -156,15 +160,24 @@ class FleetBlendHouse:
         tenant: str = "default",
         lane: str = "interactive",
     ) -> Any:
-        """Execute SQL; SELECTs route through the fleet by (tenant, lane)."""
+        """Execute SQL; SELECTs (and EXPLAIN ANALYZE) route through the
+        fleet by (tenant, lane)."""
         statement = parse_statement(sql)
-        if not isinstance(statement, Select):
+        if not runs_select(statement):
             result = self.db.execute(sql)
             if isinstance(statement, Insert):
                 self._wire_table(statement.table)
             return result
         start = self.db.clock.now
-        result = self._execute_select(sql, statement, tenant, lane)
+        warehouse = self.fleet.route(tenant, lane)
+        with self.db.tracer.span(
+            "query", statement=type(statement).__name__, engine="fleet",
+            warehouse=warehouse.name,
+        ) as root:
+            result = self.db._execute_query(
+                sql, statement, root, WarehouseScans(warehouse)
+            )
+            self._count_served(warehouse)
         if self.autoscaler is not None:
             self.autoscaler.observe_latency(
                 lane, self.db.clock.elapsed_since(start)
@@ -172,48 +185,9 @@ class FleetBlendHouse:
             self.autoscaler.tick()
         return result
 
-    def _execute_select(
-        self, sql: str, statement: Select, tenant: str, lane: str
-    ) -> QueryResult:
-        db = self.db
-        warehouse = self.fleet.route(tenant, lane)
-        with db.tracer.span(
-            "query", statement="Select", engine="fleet", warehouse=warehouse.name
-        ):
-            runtime = db.table(statement.table)
-            with runtime.manager.snapshot(statement.as_of) as snap:
-                plan = db._plan_select(sql, statement, version=snap.manifest_id)
-                scheduled, reserve = db._select_segments(runtime, plan, view=snap)
-                bitmaps = {
-                    segment.segment_id: snap.bitmap(segment.segment_id)
-                    for segment in scheduled + reserve
-                }
-                schema = runtime.entry.schema
-                params = CostModelParams.from_device_model(
-                    db.cost, max(schema.vector_dim, 1)
-                )
-                start = db.clock.now
-                result = warehouse.execute_query(
-                    plan, scheduled, bitmaps, snap.index_key, db.reader, params,
-                    manifest_id=snap.manifest_id,
-                )
-                wanted = plan.logical.k or 0
-                if (
-                    reserve
-                    and db.settings.adaptive_widening
-                    and plan.logical.is_vector_query
-                    and len(result) < max(wanted - plan.logical.offset, 0)
-                ):
-                    db.metrics.incr("pruning.adaptive_widenings")
-                    result = warehouse.execute_query(
-                        plan, scheduled + reserve, bitmaps,
-                        snap.index_key, db.reader, params,
-                        manifest_id=snap.manifest_id,
-                    )
-                result.simulated_seconds = db.clock.elapsed_since(start)
-            self.metrics.incr("fleet.queries")
-            self.metrics.incr(f"fleet.served_by.{warehouse.name}")
-        return result
+    def _count_served(self, warehouse: Any) -> None:
+        self.metrics.incr("fleet.queries")
+        self.metrics.incr(f"fleet.served_by.{warehouse.name}")
 
     # ------------------------------------------------------------------
     # Staged serving execution (drives a ServingFrontend)
@@ -227,124 +201,20 @@ class FleetBlendHouse:
     ) -> Iterator[SelectStage]:
         """One SELECT as resumable stages, executed on a routed warehouse.
 
-        Same contract as :meth:`BlendHouse.select_stages` — captured
-        costs, zero-advance per-segment checkpoints, a ``scan`` stage
-        carrying the warehouse fan-out makespan, snapshot released in a
-        ``finally`` — except segment scans run on the workers of the
-        warehouse the router picked for this (tenant, lane), resolving
-        indexes through that warehouse's hierarchical caches.
+        Same stage protocol as :meth:`BlendHouse.select_stages`, except
+        segment scans run on the workers of the warehouse the router
+        picked for this (tenant, lane), resolving indexes through that
+        warehouse's hierarchical caches; the flight record names it.
         """
-        statement = parse_statement(sql)
-        if not isinstance(statement, Select):
-            raise SQLError("staged serving execution supports SELECT only")
-        db = self.db
+        statement = parse_select(sql)
         warehouse = self.fleet.route(tenant, lane)
-        runtime = db.table(statement.table)
-        cache_before = db._cache_counters()
-        stage_spans: List[Dict[str, Any]] = []
-
-        def _stage_span(name: str, cost_s: float) -> None:
-            stage_spans.append(
-                {"name": name, "duration": cost_s, "tags": {}, "children": []}
-            )
-
-        snap = runtime.manager.snapshot(statement.as_of)
+        stages = staged_select(
+            self.db, sql, statement, WarehouseScans(warehouse), cancel
+        )
         try:
-            yield SelectStage("pin", manifest_id=snap.manifest_id)
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with db.clock.capturing() as captured:
-                plan = db._plan_select(sql, statement, version=snap.manifest_id)
-                scheduled, reserve = db._select_segments(runtime, plan, view=snap)
-                bitmaps = {
-                    segment.segment_id: snap.bitmap(segment.segment_id)
-                    for segment in scheduled + reserve
-                }
-                schema = runtime.entry.schema
-                params = CostModelParams.from_device_model(
-                    db.cost, max(schema.vector_dim, 1)
-                )
-            elapsed = captured.total
-            _stage_span("plan", captured.total)
-            yield SelectStage(
-                "plan", cost_s=captured.total, advance_s=captured.total,
-                manifest_id=snap.manifest_id,
-            )
-            partials, scan_costs, makespan = warehouse.capture_scans(
-                plan, scheduled, bitmaps, snap.index_key, db.reader, params,
-                manifest_id=snap.manifest_id, cancel=cancel,
-            )
-            for segment_id, cost_s in scan_costs:
-                _stage_span(f"segment:{segment_id}", cost_s)
-                yield SelectStage(f"segment:{segment_id}", cost_s=cost_s)
-            elapsed += makespan
-            _stage_span("scan", makespan)
-            yield SelectStage(
-                "scan", cost_s=sum(cost for _, cost in scan_costs),
-                advance_s=makespan,
-            )
-            if cancel is not None:
-                cancel.raise_if_cancelled()
-            with db.clock.capturing() as captured:
-                result = warehouse.merge_partials(
-                    plan, partials, db.reader, params, len(scheduled)
-                )
-            finish_cost = captured.total
-            wanted = plan.logical.k or 0
-            if (
-                reserve
-                and db.settings.adaptive_widening
-                and plan.logical.is_vector_query
-                and len(result) < max(wanted - plan.logical.offset, 0)
-            ):
-                db.metrics.incr("pruning.adaptive_widenings")
-                widen_partials, widen_costs, widen_makespan = (
-                    warehouse.capture_scans(
-                        plan, reserve, bitmaps, snap.index_key, db.reader,
-                        params, manifest_id=snap.manifest_id, cancel=cancel,
-                    )
-                )
-                for segment_id, cost_s in widen_costs:
-                    _stage_span(f"segment:{segment_id}", cost_s)
-                    yield SelectStage(f"segment:{segment_id}", cost_s=cost_s)
-                elapsed += widen_makespan
-                _stage_span("widen", widen_makespan)
-                yield SelectStage(
-                    "widen", cost_s=sum(cost for _, cost in widen_costs),
-                    advance_s=widen_makespan,
-                )
-                partials = partials + widen_partials
-                with db.clock.capturing() as captured:
-                    result = warehouse.merge_partials(
-                        plan, partials, db.reader, params,
-                        len(scheduled) + len(reserve),
-                    )
-                finish_cost += captured.total
-            elapsed += finish_cost
-            result.simulated_seconds = elapsed
-            db.metrics.incr("queries")
-            db.metrics.incr("fleet.queries")
-            db.metrics.incr(f"fleet.served_by.{warehouse.name}")
-            db.metrics.record_latency("query.latency", elapsed)
-            _stage_span("finish", finish_cost)
-            flight = {
-                "manifest_id": snap.manifest_id,
-                "warehouse": warehouse.name,
-                "plan": db._plan_payload(plan),
-                "cache": db._cache_delta(cache_before, db._cache_counters()),
-                "trace": {
-                    "name": "select_stages",
-                    "duration": elapsed,
-                    "tags": {
-                        "manifest_id": snap.manifest_id,
-                        "warehouse": warehouse.name,
-                    },
-                    "children": stage_spans,
-                },
-            }
-            yield SelectStage(
-                "finish", cost_s=finish_cost, advance_s=finish_cost,
-                manifest_id=snap.manifest_id, result=result, flight=flight,
-            )
+            for stage in stages:
+                if stage.result is not None:
+                    self._count_served(warehouse)
+                yield stage
         finally:
-            snap.release()
+            stages.close()

@@ -49,10 +49,9 @@ from repro.executor.pipeline import (
     QueryResult,
     _charger,
     _execute_segment,
-    _merge_partials,
-    _project,
     _structured_scan_mask,
     execute_plan_on_segments,
+    merge_and_project,
 )
 from repro.observe.profile import maybe_profile
 from repro.observe.trace import maybe_span
@@ -168,6 +167,12 @@ def execute_plan_on_segments_parallel(
     completion-order independent.  Simulated wall-time is the lane
     makespan of the per-segment scan costs (gated by ``max_workers``
     simulated cores) plus the serial merge/projection tail.
+
+    Scans run on threads, or on worker processes when ``ctx.scan_pool``
+    is set; ``scan_many`` returns partials and captured costs in input
+    order and merges worker metrics in input order after the join, so
+    everything downstream (post-hoc spans, LPT makespan, stable merge)
+    is shared by both planes and their makespans are identical.
     """
     config = config or ParallelConfig()
     if len(segments) < max(2, config.min_segments) or config.max_workers <= 1:
@@ -175,11 +180,46 @@ def execute_plan_on_segments_parallel(
 
     start = ctx.clock.now
     lanes = config.effective_workers(len(segments))
+    with maybe_profile("parallel.fanout", ctx.clock), \
+            maybe_span(ctx.tracer, "parallel_fanout",
+                       segments=len(segments), workers=lanes) as fan_span:
+        if ctx.scan_pool is not None:
+            partials, costs = ctx.scan_pool.scan_many(plan, segments, bitmaps, ctx)
+        else:
+            partials, costs = _fan_out_threads(plan, segments, bitmaps, ctx, lanes)
+        # Post-hoc per-segment spans: zero-duration (the scans ran under
+        # captures, so the shared clock never moved), with the charged
+        # cost attached the same way warehouse worker scans record it.
+        for position, segment in enumerate(segments):
+            with maybe_span(ctx.tracer, "segment_scan",
+                            segment=segment.segment_id,
+                            strategy=plan.strategy.value) as span:
+                if span is not None:
+                    span.set_tag("rows", int(partials[position].offsets.size))
+                    span.set_tag("cost_s", round(costs[position], 9))
+        makespan = lane_makespan(costs, lanes)
+        if fan_span is not None:
+            fan_span.set_tag("makespan_s", round(makespan, 9))
+        ctx.clock.advance(makespan)
+    ctx.metrics.incr("parallel.fanouts")
     if ctx.scan_pool is not None:
-        # Process plane: fan the segments out across worker processes.
-        # Simulated time still packs onto ``lanes`` simulated cores, so
-        # thread and process modes report identical makespans.
-        return _fan_out_process(plan, segments, bitmaps, ctx, lanes, start)
+        ctx.metrics.incr("parallel.process_fanouts")
+    ctx.metrics.incr("parallel.segments_scanned", len(segments))
+    ctx.metrics.record_latency("parallel.makespan", makespan)
+
+    result = merge_and_project(plan, list(partials), ctx, len(segments))
+    result.simulated_seconds = ctx.clock.elapsed_since(start)
+    return result
+
+
+def _fan_out_threads(
+    plan: PhysicalPlan,
+    segments: List[Segment],
+    bitmaps: Dict[str, DeleteBitmap],
+    ctx: ExecContext,
+    lanes: int,
+) -> Tuple[List[object], List[float]]:
+    """Thread fan-out of the segment scans: (partials, costs) in order."""
     resolve_lock = threading.Lock()
     resolve = _locked_resolver(ctx, resolve_lock)
     task_metrics = [MetricRegistry() for _ in segments]
@@ -205,94 +245,10 @@ def execute_plan_on_segments_parallel(
         return run
 
     tasks = [make_task(i, segment) for i, segment in enumerate(segments)]
-    with maybe_profile("parallel.fanout", ctx.clock), \
-            maybe_span(ctx.tracer, "parallel_fanout",
-                       segments=len(segments), workers=lanes) as fan_span:
-        partials, costs = fan_out(ctx.clock, tasks, lanes, cancel=ctx.cancel)
-        for registry in task_metrics:
-            ctx.metrics.merge(registry)
-        # Post-hoc per-segment spans: zero-duration (the scans ran under
-        # captures, so the shared clock never moved), with the charged
-        # cost attached the same way warehouse worker scans record it.
-        for position, segment in enumerate(segments):
-            with maybe_span(ctx.tracer, "segment_scan",
-                            segment=segment.segment_id,
-                            strategy=plan.strategy.value) as span:
-                if span is not None:
-                    span.set_tag("rows", int(partials[position].offsets.size))
-                    span.set_tag("cost_s", round(costs[position], 9))
-        makespan = lane_makespan(costs, lanes)
-        if fan_span is not None:
-            fan_span.set_tag("makespan_s", round(makespan, 9))
-        ctx.clock.advance(makespan)
-    ctx.metrics.incr("parallel.fanouts")
-    ctx.metrics.incr("parallel.segments_scanned", len(segments))
-    ctx.metrics.record_latency("parallel.makespan", makespan)
-
-    result = merge_ordered(plan, list(partials), ctx, len(segments))
-    result.simulated_seconds = ctx.clock.elapsed_since(start)
-    return result
-
-
-def _fan_out_process(
-    plan: PhysicalPlan,
-    segments: List[Segment],
-    bitmaps: Dict[str, DeleteBitmap],
-    ctx: ExecContext,
-    lanes: int,
-    start: float,
-) -> QueryResult:
-    """Process-pool counterpart of the threaded fan-out body.
-
-    ``scan_many`` returns partials and captured per-segment costs in
-    input order and merges worker metrics in input order after the join,
-    so everything downstream (post-hoc spans, LPT makespan, stable
-    merge) is shared verbatim with the thread path.
-    """
-    with maybe_profile("parallel.fanout", ctx.clock), \
-            maybe_span(ctx.tracer, "parallel_fanout",
-                       segments=len(segments), workers=lanes) as fan_span:
-        partials, costs = ctx.scan_pool.scan_many(plan, segments, bitmaps, ctx)
-        for position, segment in enumerate(segments):
-            with maybe_span(ctx.tracer, "segment_scan",
-                            segment=segment.segment_id,
-                            strategy=plan.strategy.value) as span:
-                if span is not None:
-                    span.set_tag("rows", int(partials[position].offsets.size))
-                    span.set_tag("cost_s", round(costs[position], 9))
-        makespan = lane_makespan(costs, lanes)
-        if fan_span is not None:
-            fan_span.set_tag("makespan_s", round(makespan, 9))
-        ctx.clock.advance(makespan)
-    ctx.metrics.incr("parallel.fanouts")
-    ctx.metrics.incr("parallel.process_fanouts")
-    ctx.metrics.incr("parallel.segments_scanned", len(segments))
-    ctx.metrics.record_latency("parallel.makespan", makespan)
-
-    result = merge_ordered(plan, list(partials), ctx, len(segments))
-    result.simulated_seconds = ctx.clock.elapsed_since(start)
-    return result
-
-
-def merge_ordered(
-    plan: PhysicalPlan,
-    partials: List[PartialResult],
-    ctx: ExecContext,
-    segments_scanned: int,
-) -> QueryResult:
-    """Serial merge + projection tail shared by the fan-out paths."""
-    with maybe_span(ctx.tracer, "merge_project",
-                    partials=len(partials)) as span:
-        merged = _merge_partials(plan, partials)
-        names, rows = _project(plan, merged, ctx)
-        if span is not None:
-            span.set_tag("rows", len(rows))
-        return QueryResult(
-            columns=names,
-            rows=rows,
-            strategy=plan.strategy,
-            segments_scanned=segments_scanned,
-        )
+    partials, costs = fan_out(ctx.clock, tasks, lanes, cancel=ctx.cancel)
+    for registry in task_metrics:
+        ctx.metrics.merge(registry)
+    return partials, costs
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +455,7 @@ def execute_batch_on_segments(
     results: List[QueryResult] = []
     for position, plan in enumerate(plans):
         results.append(
-            merge_ordered(
+            merge_and_project(
                 plan, partials_by_query[position], ctx,
                 len(segments_by_query[position]),
             )

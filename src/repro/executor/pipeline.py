@@ -84,7 +84,13 @@ class PartialResult:
 
 @dataclass
 class QueryResult:
-    """Final result set."""
+    """Final result set.
+
+    ``simulated_seconds`` is the query's execute phase on the simulated
+    clock: segment scans (the fan-out makespan), adaptive widening and
+    the merge/projection — not parsing or planning.  Direct, staged,
+    clustered and fleet SELECTs all report this same quantity.
+    """
 
     columns: List[str]
     rows: List[Tuple[Any, ...]]

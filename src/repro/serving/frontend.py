@@ -293,6 +293,13 @@ class ServingFrontend:
         finally:
             self._release_slot()
         finished = loop.time()
+        with maybe_span(
+            self.tracer, "serving.query",
+            lane=request.lane.value, tenant=request.tenant,
+        ) as span:
+            if span is not None:
+                # The reply's virtual latency: queue wait plus service.
+                span.set_tag("latency_s", round(finished - submitted, 9))
         return QueryReply(
             status="ok",
             result=result,
@@ -393,12 +400,6 @@ class ServingFrontend:
             self._sync_clock()
         if result is None:  # pragma: no cover - select_stages always finishes
             raise ServingError("staged execution produced no result")
-        with maybe_span(
-            self.tracer, "serving.query",
-            lane=request.lane.value, tenant=request.tenant,
-        ) as span:
-            if span is not None:
-                span.set_tag("latency_s", round(result.simulated_seconds, 9))
         return result, flight
 
     def _sync_clock(self) -> None:
